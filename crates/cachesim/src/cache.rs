@@ -1070,66 +1070,6 @@ impl SetAssocCache {
         misses
     }
 
-    /// Precomputes the lookup columns (block, set index, SWAR partial-tag
-    /// pattern) for a whole run into `scratch` without replaying anything.
-    /// The columns depend only on the cache *geometry*, so a policy fan-out
-    /// can prepare them once on any same-geometry cache and replay them
-    /// through every stage via [`SetAssocCache::replay_batch_prepared`].
-    pub fn prepare_batch(&self, infos: &[AccessInfo], scratch: &mut BatchScratch) {
-        scratch.prepare(&self.core, infos);
-    }
-
-    /// Like [`SetAssocCache::replay_batch`], but consumes lookup columns
-    /// already prepared by [`SetAssocCache::prepare_batch`] — the column
-    /// computation is paid once for a whole fan-out instead of once per
-    /// policy stage.
-    ///
-    /// Only share scratches between same-geometry caches: the columns bake
-    /// in the preparing cache's block size and set count, and a mismatch is
-    /// not detectable here.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `infos`, `ops` and the prepared columns disagree in
-    /// length.
-    pub fn replay_batch_prepared(
-        &mut self,
-        infos: &[AccessInfo],
-        ops: &[BatchOp],
-        scratch: &BatchScratch,
-    ) -> u64 {
-        assert_eq!(infos.len(), ops.len(), "one BatchOp per request");
-        assert_eq!(
-            infos.len(),
-            scratch.blocks.len(),
-            "scratch prepared for this run"
-        );
-        let mut misses = 0;
-        for start in (0..infos.len()).step_by(BATCH_TILE) {
-            let end = infos.len().min(start + BATCH_TILE);
-            let tile = &infos[start..end];
-            let tile_ops = &ops[start..end];
-            let mut totals = BatchTotals::default();
-            let core = &mut self.core;
-            let decode = |i: usize| (tile[i], tile_ops[i]);
-            for_each_policy!(
-                &mut self.policy,
-                p => replay_kernel(
-                    core,
-                    p,
-                    &decode,
-                    &scratch.blocks[start..end],
-                    &scratch.sets[start..end],
-                    &scratch.patterns[start..end],
-                    &mut totals
-                )
-            );
-            totals.flush(&mut self.stats);
-            misses += totals.demand_misses;
-        }
-        misses
-    }
-
     /// The fused variant of [`SetAssocCache::replay_batch`]: the lookup
     /// columns are precomputed straight off the raw byte-address column of a
     /// trace tile and each record is decoded **in registers** by `decode(i)`

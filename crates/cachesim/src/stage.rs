@@ -63,7 +63,7 @@ pub trait LlcSink {
     /// (demand, prefetch and writeback records only — never flush markers),
     /// in stream order. The default implementation decodes each record and
     /// dispatches it through the per-event methods, so every sink accepts
-    /// batches; bulk-native sinks (the trace recorders, the LLC stage)
+    /// batches; bulk-native sinks (the trace recorder, the LLC stage)
     /// override it to consume the columns without materializing per-event
     /// structs.
     fn push_batch(&mut self, addrs: &[Address], meta: &[u32]) {
@@ -407,48 +407,15 @@ impl LlcStage {
     }
 
     /// Replays one flush-free tile of a recorded post-L2 stream — demand,
-    /// prefetch and writeback records freely interleaved, each tagged with
-    /// its [`crate::cache::BatchOp`] — through the mixed batched kernel
-    /// ([`SetAssocCache::replay_batch`]). Every demand miss reaches memory,
+    /// prefetch and writeback records freely interleaved — through the
+    /// cache's fused mixed batched kernel
+    /// ([`SetAssocCache::replay_batch_fused`]): the tile arrives as its raw
+    /// byte-address column plus an in-register record decoder, so nothing is
+    /// buffered between decode and lookup. Every demand miss reaches memory,
     /// so the memory-access counter advances by the tile's demand-miss
     /// count. Bit-identical to dispatching each record through
     /// [`LlcStage::demand`] / [`LlcStage::prefetch`] /
     /// [`LlcStage::writeback`] in order.
-    #[inline]
-    pub fn replay_batch(
-        &mut self,
-        infos: &[AccessInfo],
-        ops: &[crate::cache::BatchOp],
-        scratch: &mut crate::cache::BatchScratch,
-    ) {
-        self.memory_accesses += self.cache.replay_batch(infos, ops, scratch);
-    }
-
-    /// Precomputes the lookup columns of a run for
-    /// [`LlcStage::replay_batch_prepared`] (see
-    /// [`SetAssocCache::prepare_batch`]).
-    #[inline]
-    pub fn prepare_batch(&self, infos: &[AccessInfo], scratch: &mut crate::cache::BatchScratch) {
-        self.cache.prepare_batch(infos, scratch);
-    }
-
-    /// Like [`LlcStage::replay_batch`], but over columns already prepared
-    /// by [`LlcStage::prepare_batch`] on any same-geometry stage (see
-    /// [`SetAssocCache::replay_batch_prepared`]).
-    #[inline]
-    pub fn replay_batch_prepared(
-        &mut self,
-        infos: &[AccessInfo],
-        ops: &[crate::cache::BatchOp],
-        scratch: &crate::cache::BatchScratch,
-    ) {
-        self.memory_accesses += self.cache.replay_batch_prepared(infos, ops, scratch);
-    }
-
-    /// Fused counterpart of [`LlcStage::replay_batch`]
-    /// ([`SetAssocCache::replay_batch_fused`]): the tile arrives as its raw
-    /// byte-address column plus an in-register record decoder, so nothing is
-    /// buffered between decode and lookup.
     #[inline]
     pub fn replay_batch_fused<F>(
         &mut self,

@@ -1,21 +1,17 @@
 //! Property tests for the canonical post-L2 trace: the chunked SoA storage
 //! must round-trip arbitrary event sequences exactly (`push`/`get`/`iter`/
-//! `to_vec` always agree), replay must be deterministic, and the streaming
-//! pipeline (chunk channel + incremental replayer) must reproduce buffered
-//! replay bit-for-bit for arbitrary event sequences — flushes and
-//! writebacks included.
+//! `to_vec` always agree), replay must be deterministic, and the batched
+//! chunk kernel must reproduce the per-event reference bit-for-bit for
+//! arbitrary event sequences — flushes and writebacks included — wherever
+//! chunk boundaries fall.
 
 use grasp_cachesim::config::CacheConfig;
 use grasp_cachesim::hint::ReuseHint;
 use grasp_cachesim::policy::grasp::Grasp;
 use grasp_cachesim::policy::lru::Lru;
 use grasp_cachesim::policy::rrip::Drrip;
-use grasp_cachesim::policy::PolicyDispatch;
 use grasp_cachesim::request::{AccessInfo, RegionLabel};
-use grasp_cachesim::trace::{
-    chunk_channel_with, replay_stream, ChunkReceiver, ChunkReplayer, LlcTrace, RecordContext,
-    TraceEvent, TraceStreamer,
-};
+use grasp_cachesim::trace::{ChunkReplayer, LlcTrace, RecordContext, TraceChunk, TraceEvent};
 use proptest::prelude::*;
 
 /// An arbitrary event: selector (demand read / demand write / prefetch /
@@ -25,7 +21,7 @@ fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
 }
 
 /// Like [`arb_events`], but selector values ≥ 4 become flush markers when
-/// `kinds` is 5 (the streaming parity property exercises them; the storage
+/// `kinds` is 5 (the replay parity properties exercise them; the storage
 /// round-trip keeps the historical distribution).
 fn arb_events_with_flushes(kinds: u8) -> impl Strategy<Value = Vec<TraceEvent>> {
     proptest::collection::vec((0u8..kinds, 0u64..4096, 0u16..32, 0u8..4, 0u8..5), 1..800).prop_map(
@@ -65,6 +61,19 @@ fn build(events: &[TraceEvent]) -> LlcTrace {
         }
     }
     trace
+}
+
+/// Splits `events` into consecutive `k`-event windows and records each as
+/// its own [`LlcTrace`], so the windows' chunks put run boundaries exactly
+/// at every `k`-th record — however short `k` is relative to the storage
+/// chunk size.
+fn windowed(events: &[TraceEvent], k: usize) -> Vec<LlcTrace> {
+    events.chunks(k).map(build).collect()
+}
+
+/// Every chunk of every window, in stream order.
+fn window_chunks(windows: &[LlcTrace]) -> impl Iterator<Item = &TraceChunk> {
+    windows.iter().flat_map(LlcTrace::chunks)
 }
 
 proptest! {
@@ -112,113 +121,35 @@ proptest! {
     }
 
     #[test]
-    fn streaming_replay_is_bit_identical_to_buffered_replay(events in arb_events_with_flushes(5)) {
-        let trace = {
-            let mut trace = build(&events);
-            // A non-trivial recorded context must be carried to every
-            // streaming consumer through the end-of-stream marker.
-            let mut context = RecordContext::default();
-            context.l1.record(RegionLabel::Property, false);
-            context.l2.record(RegionLabel::EdgeArray, true);
-            context.abr_bounds = vec![(0, 1 << 20)];
-            trace.set_context(context);
-            trace
-        };
-        let config = CacheConfig::new(64 * 128, 8, 64);
-        let buffered_lru = trace.replay(config, Lru::new(config.sets(), config.ways));
-        let buffered_rrip = trace.replay(config, Drrip::new(config.sets(), config.ways, 1));
-
-        // Drive the streaming pipeline with a deliberately tiny chunk size so
-        // every case crosses several freeze boundaries, and a producer thread
-        // against a shallow (depth-2) channel so backpressure is exercised.
-        // Consumer 0 replays both policies off one receiver; consumer 1
-        // double-checks LRU from its own copy of the stream.
-        let (tap, mut receivers) = chunk_channel_with(2, 2, 7);
-        let receiver_b = receivers.pop().expect("two receivers");
-        let receiver_a = receivers.pop().expect("two receivers");
-        let (streamed_a, streamed_b) = std::thread::scope(|scope| {
-            let worker_a = scope.spawn(move || {
-                replay_stream(
-                    &receiver_a,
-                    vec![
-                        ChunkReplayer::new(config, Lru::new(config.sets(), config.ways)),
-                        ChunkReplayer::new(config, Drrip::new(config.sets(), config.ways, 1)),
-                    ],
-                )
-            });
-            let worker_b = scope.spawn(move || {
-                replay_stream(
-                    &receiver_b,
-                    vec![ChunkReplayer::new(
-                        config,
-                        Lru::new(config.sets(), config.ways),
-                    )],
-                )
-            });
-            let mut streamer = TraceStreamer::new(tap);
-            for event in &events {
-                match event {
-                    TraceEvent::Demand(info) => streamer.push(info),
-                    TraceEvent::Prefetch(info) => streamer.push_prefetch(info),
-                    TraceEvent::Writeback(addr) => streamer.push_writeback(*addr),
-                    TraceEvent::Flush => streamer.push_flush(),
-                }
-            }
-            streamer.finish(trace.context().clone());
-            (
-                worker_a.join().expect("consumer a"),
-                worker_b.join().expect("consumer b"),
-            )
-        });
-        prop_assert_eq!(&streamed_a[0], &buffered_lru);
-        prop_assert_eq!(&streamed_a[1], &buffered_rrip);
-        prop_assert_eq!(&streamed_b[0], &buffered_lru);
-        prop_assert_eq!(streamed_a[0].l1.accesses, 1, "recorded L1 stats carried");
-    }
-
-    #[test]
     fn batched_feed_is_bit_identical_to_per_event_feed(events in arb_events_with_flushes(5)) {
         // The batched chunk-native kernel against the per-event reference
         // path, over arbitrary event mixes: demand reads and writes, dirty
         // writebacks, prefetches and flushes, across several policies
-        // (bypassing GRASP included). Tiny chunks put run boundaries at
-        // chunk edges: a run cut mid-stream by a freeze must replay exactly
-        // like the same records fed one by one.
-        let trace = build(&events);
+        // (bypassing GRASP included). Tiny windows put run boundaries at
+        // chunk edges: a run cut mid-stream by a chunk boundary must replay
+        // exactly like the same records fed one by one.
         let config = CacheConfig::new(64 * 128, 8, 64);
-        for chunk_records in [1usize, 7, events.len().max(1)] {
-            let (tap, receivers) = chunk_channel_with(
-                1,
-                events.len().div_ceil(chunk_records) + 1,
-                chunk_records,
-            );
-            trace.stream_into(&tap);
+        let context = RecordContext::default();
+        for k in [1usize, 7, events.len().max(1)] {
+            let windows = windowed(&events, k);
             let mut batched_lru = ChunkReplayer::new(config, Lru::new(config.sets(), config.ways));
             let mut scalar_lru = ChunkReplayer::new(config, Lru::new(config.sets(), config.ways));
             let mut batched_grasp =
                 ChunkReplayer::new(config, Grasp::new(config.sets(), config.ways, 7));
             let mut scalar_grasp =
                 ChunkReplayer::new(config, Grasp::new(config.sets(), config.ways, 7));
-            loop {
-                match receivers[0].recv() {
-                    Some(grasp_cachesim::trace::StreamItem::Chunk(chunk)) => {
-                        batched_lru.feed(&chunk);
-                        scalar_lru.feed_scalar(&chunk);
-                        batched_grasp.feed(&chunk);
-                        scalar_grasp.feed_scalar(&chunk);
-                    }
-                    Some(grasp_cachesim::trace::StreamItem::End(context)) => {
-                        let batched = batched_lru.finish(&context);
-                        let scalar = scalar_lru.finish(&context);
-                        prop_assert_eq!(&batched, &scalar, "LRU, {} rec/chunk", chunk_records);
-                        let batched = batched_grasp.finish(&context);
-                        let scalar = scalar_grasp.finish(&context);
-                        prop_assert_eq!(&batched, &scalar, "GRASP, {} rec/chunk", chunk_records);
-                        break;
-                    }
-                    None => panic!("stream ended without end-of-stream marker"),
-                }
+            for chunk in window_chunks(&windows) {
+                batched_lru.feed(chunk);
+                scalar_lru.feed_scalar(chunk);
+                batched_grasp.feed(chunk);
+                scalar_grasp.feed_scalar(chunk);
             }
+            let batched = batched_lru.finish(&context);
+            let scalar = scalar_lru.finish(&context);
+            prop_assert_eq!(&batched, &scalar, "LRU, {} rec/chunk", k);
+            let batched = batched_grasp.finish(&context);
+            let scalar = scalar_grasp.finish(&context);
+            prop_assert_eq!(&batched, &scalar, "GRASP, {} rec/chunk", k);
         }
     }
 
@@ -231,45 +162,6 @@ proptest! {
         prop_assert_eq!(&batched, &scalar);
     }
 
-    #[test]
-    fn fanout_replay_matches_per_policy_replays(events in arb_events_with_flushes(5)) {
-        let trace = build(&events);
-        let config = CacheConfig::new(64 * 128, 8, 64);
-        let fanout = trace.replay_fanout(config, [
-            PolicyDispatch::from(Lru::new(config.sets(), config.ways)),
-            PolicyDispatch::from(Drrip::new(config.sets(), config.ways, 1)),
-            PolicyDispatch::from(Grasp::new(config.sets(), config.ways, 7)),
-        ]);
-        let solo = [
-            trace.replay(config, Lru::new(config.sets(), config.ways)),
-            trace.replay(config, Drrip::new(config.sets(), config.ways, 1)),
-            trace.replay(config, Grasp::new(config.sets(), config.ways, 7)),
-        ];
-        prop_assert_eq!(fanout.len(), solo.len());
-        for (i, (shared, standalone)) in fanout.iter().zip(&solo).enumerate() {
-            prop_assert_eq!(shared, standalone, "policy #{} diverged under the fan-out", i);
-        }
-    }
-
-    #[test]
-    fn rebroadcasting_a_buffered_trace_streams_bit_identically(events in arb_events_with_flushes(5)) {
-        let trace = build(&events);
-        let config = CacheConfig::new(64 * 64, 4, 64);
-        let buffered = trace.replay(config, Grasp::new(config.sets(), config.ways, 7));
-        // Depth covers the whole trace, so no producer thread is needed.
-        let chunks = events.len().div_ceil(grasp_cachesim::trace::CHUNK_RECORDS) + 1;
-        let (tap, receivers) = chunk_channel_with(1, chunks, grasp_cachesim::trace::CHUNK_RECORDS);
-        trace.stream_into(&tap);
-        let receiver: &ChunkReceiver = &receivers[0];
-        let streamed = replay_stream(
-            receiver,
-            vec![ChunkReplayer::new(
-                config,
-                Grasp::new(config.sets(), config.ways, 7),
-            )],
-        );
-        prop_assert_eq!(&streamed[0], &buffered);
-    }
 }
 
 /// Degenerate scalar-only chunks: a chunk that is 100% writebacks and
@@ -289,28 +181,19 @@ fn all_writeback_and_flush_chunks_replay_identically() {
         }
         events.push(TraceEvent::Writeback((blk % 128) * 64));
     }
-    let trace = build(&events);
     let config = CacheConfig::new(64 * 128, 8, 64);
-    // Chunk size 64 makes the writeback/flush tail span whole chunks with no
-    // demand or prefetch record in them.
-    let (tap, receivers) = chunk_channel_with(1, events.len().div_ceil(64) + 1, 64);
-    trace.stream_into(&tap);
+    // 64-event windows make the writeback/flush tail span whole chunks with
+    // no demand or prefetch record in them.
+    let windows = windowed(&events, 64);
     let mut batched = ChunkReplayer::new(config, Lru::new(config.sets(), config.ways));
     let mut scalar = ChunkReplayer::new(config, Lru::new(config.sets(), config.ways));
-    loop {
-        match receivers[0].recv() {
-            Some(grasp_cachesim::trace::StreamItem::Chunk(chunk)) => {
-                batched.feed(&chunk);
-                scalar.feed_scalar(&chunk);
-            }
-            Some(grasp_cachesim::trace::StreamItem::End(context)) => {
-                let a = batched.finish(&context);
-                let b = scalar.finish(&context);
-                assert_eq!(a, b);
-                assert!(a.llc.writeback_accesses >= 512, "writebacks all replayed");
-                break;
-            }
-            None => panic!("stream ended without end-of-stream marker"),
-        }
+    for chunk in window_chunks(&windows) {
+        batched.feed(chunk);
+        scalar.feed_scalar(chunk);
     }
+    let context = RecordContext::default();
+    let a = batched.finish(&context);
+    let b = scalar.finish(&context);
+    assert_eq!(a, b);
+    assert!(a.llc.writeback_accesses >= 512, "writebacks all replayed");
 }

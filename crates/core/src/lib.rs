@@ -16,9 +16,8 @@
 //!   experiments under a record-once / replay-many execution plan, with
 //!   graphs shared and reordered once and the record/load/replay tasks
 //!   drained barrier-free by a dependency-driven, cost-aware scheduler
-//!   (two-phase barrier, direct per-cell, and streaming gang-pipeline
-//!   plans remain selectable), results always in deterministic grid
-//!   order,
+//!   (the direct per-cell plan remains selectable as the reference
+//!   oracle), results always in deterministic grid order,
 //! * the **serializable campaign spec** ([`spec`]) — [`spec::CampaignSpec`]
 //!   round-trips a campaign through hand-rolled JSON ([`json`]), shared by
 //!   the library builder and the `grasp-serve` service wire protocol,

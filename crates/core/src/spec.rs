@@ -64,8 +64,6 @@ pub struct CampaignSpec {
     pub mode: ExecutionMode,
     /// Worker-thread budget; `0` means one worker per available CPU.
     pub threads: usize,
-    /// Streaming gang-pipeline count; `0` resolves from the worker budget.
-    pub pipelines: usize,
     /// Trace-store directory. `None` runs without persistence (unless the
     /// campaign is later pointed at a store explicitly; the
     /// `GRASP_TRACE_STORE` environment variable is the documented fallback
@@ -92,7 +90,6 @@ impl CampaignSpec {
             record_trace: false,
             mode: ExecutionMode::default(),
             threads: 0,
-            pipelines: 0,
             store: None,
             codec: None,
         }
@@ -188,7 +185,6 @@ impl CampaignSpec {
         map.insert("record_trace".to_owned(), Json::Bool(self.record_trace));
         map.insert("mode".to_owned(), Json::string(self.mode.label()));
         map.insert("threads".to_owned(), Json::integer(self.threads as u64));
-        map.insert("pipelines".to_owned(), Json::integer(self.pipelines as u64));
         if let Some(store) = &self.store {
             map.insert("store".to_owned(), Json::string(store.clone()));
         }
@@ -212,7 +208,7 @@ impl CampaignSpec {
             .as_object()
             .ok_or_else(|| spec_err("spec must be a JSON object"))?;
         for key in object.keys() {
-            const KNOWN: [&str; 12] = [
+            const KNOWN: [&str; 11] = [
                 "scale",
                 "datasets",
                 "techniques",
@@ -222,7 +218,6 @@ impl CampaignSpec {
                 "record_trace",
                 "mode",
                 "threads",
-                "pipelines",
                 "store",
                 "codec",
             ];
@@ -272,7 +267,6 @@ impl CampaignSpec {
                 .ok_or_else(|| spec_err(format!("unknown mode {label:?}")))?;
         }
         spec.threads = parse_count(value, "threads")?.unwrap_or(0);
-        spec.pipelines = parse_count(value, "pipelines")?.unwrap_or(0);
         if let Some(store) = value.get("store") {
             spec.store = Some(
                 store
@@ -489,9 +483,8 @@ mod tests {
         ];
         spec.hierarchy = Some(Scale::Small.hierarchy().without_prefetch());
         spec.record_trace = true;
-        spec.mode = ExecutionMode::Streaming;
+        spec.mode = ExecutionMode::Direct;
         spec.threads = 6;
-        spec.pipelines = 2;
         spec.store = Some("/tmp/grasp store \"quoted\"".to_owned());
         spec.codec = Some(Codec::Raw);
         spec
@@ -545,6 +538,11 @@ mod tests {
                 "unknown policy",
             ),
             (r#"{"scale":"tiny","mode":"warp"}"#, "unknown mode"),
+            // The retired barrier and streaming plans and their
+            // gang-pipeline knob are gone from the wire vocabulary.
+            (r#"{"scale":"tiny","mode":"replay"}"#, "unknown mode"),
+            (r#"{"scale":"tiny","mode":"streaming"}"#, "unknown mode"),
+            (r#"{"scale":"tiny","pipelines":2}"#, "unknown field"),
             (r#"{"scale":"tiny","threads":-1}"#, "threads must be"),
             (r#"{"scale":"tiny","threads":1.5}"#, "threads must be"),
             (r#"{"scale":"tiny","codec":"zstd"}"#, "unknown codec"),
@@ -595,12 +593,7 @@ mod tests {
             state % bound
         };
         let scales = [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Large];
-        let modes = [
-            ExecutionMode::Pipelined,
-            ExecutionMode::Replay,
-            ExecutionMode::Direct,
-            ExecutionMode::Streaming,
-        ];
+        let modes = [ExecutionMode::Pipelined, ExecutionMode::Direct];
         let mut spec = CampaignSpec::new(scales[next(4) as usize]);
         spec.datasets = (0..next(4))
             .map(|_| match next(8) {
@@ -634,9 +627,8 @@ mod tests {
             spec.hierarchy = Some(hierarchy);
         }
         spec.record_trace = next(2) == 0;
-        spec.mode = modes[next(4) as usize];
+        spec.mode = modes[next(2) as usize];
         spec.threads = next(9) as usize;
-        spec.pipelines = next(5) as usize;
         if next(2) == 0 {
             spec.store = Some(format!("/tmp/store-{}", next(1000)));
         }
