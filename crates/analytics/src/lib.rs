@@ -9,12 +9,16 @@
 //! memory behaviour: per-vertex state lives in *Property Arrays* placed in a
 //! simulated virtual [`layout::AddressSpace`], and every structural access
 //! (Vertex Array, Edge Array, frontier) and property access is reported to a
-//! [`mem::MemoryModel`]. Two models are provided:
+//! [`mem::MemoryModel`]. Three models are provided:
 //!
 //! * [`mem::NativeMemory`] — a no-op, used when measuring real wall-clock
 //!   runtimes (the Fig. 10a reordering study);
-//! * [`mem::TracedMemory`] — drives a [`grasp_cachesim::Hierarchy`], used for
-//!   all simulator-based experiments (Figs. 2, 5–9, 11).
+//! * [`mem::TracedMemory`] — drives a [`grasp_cachesim::Hierarchy`]: direct
+//!   simulation (Fig. 2) and the oracle every replayed result is checked
+//!   against;
+//! * [`mem::RecordingMemory`] — runs the upper levels only and records the
+//!   post-L2 stream that the campaign experiments (Figs. 5–9, 11) replay
+//!   under each LLC policy.
 //!
 //! The applications program the GRASP Address Bound Registers with the bounds
 //! of their Property Arrays right after allocating them, exactly as the

@@ -1,7 +1,8 @@
 //! Fig. 11 and Table VII — GRASP vs Belady's optimal replacement (OPT).
 //!
-//! Each workload's post-L2 stream is captured once by the record phase of a
-//! pipelined campaign. Online policies (LRU, RRIP, GRASP) and Belady's MIN
+//! Each workload's post-L2 stream is captured once by
+//! [`Experiment::record`](grasp_core::experiment::Experiment::record).
+//! Online policies (LRU, RRIP, GRASP) and Belady's MIN
 //! then replay the same **demand** stream — OPT cannot model prefetches, so
 //! giving them only to the online policies would break its lower bound — for
 //! several LLC sizes, with reuse hints recomputed from the Address Bound
@@ -20,13 +21,13 @@
 //! of LRU's misses; the gap between GRASP and OPT is the remaining headroom.
 
 use grasp_analytics::apps::AppKind;
-use grasp_bench::{banner, dump_json, figure_campaign, harness_scale, pct};
+use grasp_bench::{banner, dataset, dump_json, experiment, harness_scale, pct};
 use grasp_cachesim::config::CacheConfig;
 use grasp_cachesim::hint::{AddressBoundRegisters, RegionClassifier};
 use grasp_cachesim::policy::opt::optimal_misses_trace;
 use grasp_cachesim::trace::{misses_eliminated_pct, LlcTrace};
 use grasp_core::compare::arithmetic_mean;
-use grasp_core::datasets::DatasetKind;
+use grasp_core::datasets::{Dataset, DatasetKind};
 use grasp_core::policy::PolicyKind;
 use grasp_core::report::Table;
 use grasp_reorder::TechniqueKind;
@@ -72,26 +73,34 @@ fn main() {
     banner("Fig. 11 / Table VII: GRASP vs Belady's OPT");
     let scale = harness_scale();
 
-    // Record one post-L2 stream per (app, dataset) pair: the pipelined
-    // campaign runs each application exactly once and hands the trace back.
+    // Record one post-L2 stream per (app, dataset) pair, each on its own
+    // scoped thread so the record phase runs on every core.
     let started = std::time::Instant::now();
-    let recordings = figure_campaign(scale, &DatasetKind::HIGH_SKEW, &AppKind::ALL, &[])
-        .recording_llc_trace()
-        .run();
-    let mut workloads: Vec<Recording> = Vec::new();
-    for app in AppKind::ALL {
-        for kind in DatasetKind::HIGH_SKEW {
-            let run = recordings
-                .get(kind, TechniqueKind::Dbg, app, PolicyKind::Rrip)
-                .expect("recording cell");
-            workloads.push(Recording {
-                app,
-                dataset: kind,
-                // Cloning shares the Arc-frozen chunks — no record copies.
-                trace: run.llc_trace.clone().unwrap_or_default(),
-            });
-        }
-    }
+    let datasets: Vec<Dataset> = DatasetKind::HIGH_SKEW
+        .into_iter()
+        .map(|kind| dataset(kind, scale))
+        .collect();
+    let workloads: Vec<Recording> = std::thread::scope(|s| {
+        let recorders: Vec<_> = AppKind::ALL
+            .into_iter()
+            .flat_map(|app| datasets.iter().map(move |ds| (app, ds)))
+            .map(|(app, ds)| {
+                s.spawn(move || Recording {
+                    app,
+                    dataset: ds.kind,
+                    // Cloning shares the Arc-frozen chunks — no record copies.
+                    trace: experiment(ds, app, scale, TechniqueKind::Dbg)
+                        .record()
+                        .trace()
+                        .clone(),
+                })
+            })
+            .collect();
+        recorders
+            .into_iter()
+            .map(|recorder| recorder.join().expect("recording thread panicked"))
+            .collect()
+    });
     let wall_ms = started.elapsed().as_millis();
 
     // Fig. 11: per-workload miss elimination over LRU at the default LLC size.

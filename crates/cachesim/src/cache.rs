@@ -13,21 +13,22 @@
 //! # Batched lookups
 //!
 //! Trace replay drives the cache with whole **tiles** of requests at once
-//! instead of one request at a time. [`SetAssocCache::replay_batch`] takes a
-//! flush-free tile of the post-L2 stream — demand, prefetch and writeback
-//! records freely interleaved, each tagged with a [`BatchOp`] — plus a
-//! reusable [`BatchScratch`], precomputes the lookup columns (block address,
-//! set index, broadcast partial-tag pattern) in tight vectorizable loops,
-//! hoists the policy dispatch **out of the access loop** (the kernel is
-//! monomorphized per policy, so every hook call inlines with no per-access
-//! enum match), and defers all statistics to one flush per tile. Work is
-//! tiled in fixed-size (`BATCH_TILE`) request groups so the precomputed columns stay
-//! cache-resident. [`SetAssocCache::access_batch`] and
-//! [`SetAssocCache::prefetch_batch`] are the uniform-kind entry points for
-//! demand-only and prefetch-only runs (synthetic-trace replay). The batch
-//! paths and the per-access path execute the *same* per-request mutation
-//! sequence — all funnel through the private `CacheCore::access_one` — so
-//! their decisions and statistics are bit-for-bit identical by construction.
+//! instead of one request at a time. [`SetAssocCache::replay_batch_fused`]
+//! takes a flush-free tile of the post-L2 stream — the raw address column
+//! plus a decoder yielding each record's request and [`BatchOp`], with
+//! demand, prefetch and writeback records freely interleaved — and a
+//! reusable [`BatchScratch`]. It precomputes the lookup columns (block
+//! address, set index, broadcast partial-tag pattern) in tight vectorizable
+//! loops, hoists the policy dispatch **out of the access loop** (the kernel
+//! is monomorphized per policy, so every hook call inlines with no
+//! per-access enum match), and defers all statistics to one flush per tile.
+//! Work is tiled in fixed-size (`BATCH_TILE`) request groups so the
+//! precomputed columns stay cache-resident. [`SetAssocCache::access_batch`]
+//! is the demand-only entry point (OPT and synthetic-trace replay). The
+//! batch paths and the per-access path execute the *same* per-request
+//! mutation sequence — all funnel through the private
+//! `CacheCore::access_one` — so their decisions and statistics are
+//! bit-for-bit identical by construction.
 
 use crate::addr::{block_of, BlockAddr};
 use crate::config::CacheConfig;
@@ -381,12 +382,12 @@ impl WayMemo {
 
 /// Reusable precomputed lookup columns for one batched run of accesses.
 ///
-/// [`SetAssocCache::access_batch`] and [`SetAssocCache::prefetch_batch`] fill
-/// the columns (block address, set index, broadcast partial-tag pattern) in
-/// tight loops over the run before touching the cache, so the access kernel
-/// itself performs no per-request address arithmetic. Allocate one scratch
-/// per replay and reuse it across runs; the columns grow to the largest run
-/// fed so far and are never shrunk.
+/// [`SetAssocCache::access_batch`] and [`SetAssocCache::replay_batch_fused`]
+/// fill the columns (block address, set index, broadcast partial-tag
+/// pattern) in tight loops over the run before touching the cache, so the
+/// access kernel itself performs no per-request address arithmetic.
+/// Allocate one scratch per replay and reuse it across runs; the columns
+/// grow to the largest run fed so far and are never shrunk.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     blocks: Vec<BlockAddr>,
@@ -400,34 +401,16 @@ impl BatchScratch {
         Self::default()
     }
 
-    /// Precomputes the lookup columns for `infos`: three vectorizable passes
-    /// (shift, mask, broadcast-multiply) with no branches.
-    fn prepare(&mut self, core: &CacheCore, infos: &[AccessInfo]) {
+    /// Precomputes the lookup columns for a run of byte addresses: three
+    /// vectorizable passes (shift, mask, broadcast-multiply) with no
+    /// branches. Fused replay feeds a trace chunk's raw address column, so
+    /// it columnizes before any record is decoded.
+    fn prepare(&mut self, core: &CacheCore, addrs: impl Iterator<Item = u64>) {
         self.blocks.clear();
         self.sets.clear();
         self.patterns.clear();
         self.blocks
-            .extend(infos.iter().map(|info| info.addr >> core.block_shift));
-        self.sets.extend(
-            self.blocks
-                .iter()
-                .map(|&block| (block & core.set_mask) as u32),
-        );
-        broadcast_column(
-            self.blocks.iter().map(|&block| core.partial_of(block)),
-            &mut self.patterns,
-        );
-    }
-
-    /// Like [`BatchScratch::prepare`], but straight off a raw byte-address
-    /// column (as stored in a trace chunk) — no decoded requests needed, so
-    /// fused replay can columnize before any record is decoded.
-    fn prepare_addrs(&mut self, core: &CacheCore, addrs: &[u64]) {
-        self.blocks.clear();
-        self.sets.clear();
-        self.patterns.clear();
-        self.blocks
-            .extend(addrs.iter().map(|&addr| addr >> core.block_shift));
+            .extend(addrs.map(|addr| addr >> core.block_shift));
         self.sets.extend(
             self.blocks
                 .iter()
@@ -547,13 +530,13 @@ impl BatchTotals {
     }
 }
 
-/// The monomorphized uniform-kind batched access kernel: one in-order pass
+/// The monomorphized demand-only batched access kernel: one in-order pass
 /// over the run against the precomputed columns. Accesses must stay in
 /// order — a fill by request `i` changes what request `i + 1` sees in the
 /// same set — so the win comes from the hoisted policy dispatch, the
 /// columnized address arithmetic and the deferred statistics, not from
 /// reordering lookups.
-fn batch_kernel<const DEMAND: bool, P: ReplacementPolicy + ?Sized>(
+fn batch_kernel<P: ReplacementPolicy + ?Sized>(
     core: &mut CacheCore,
     policy: &mut P,
     infos: &[AccessInfo],
@@ -568,11 +551,7 @@ fn batch_kernel<const DEMAND: bool, P: ReplacementPolicy + ?Sized>(
             core.prefetch_set(ahead as usize);
         }
         let outcome = core.access_one(policy, blocks[i], sets[i] as usize, patterns[i], info);
-        if DEMAND {
-            totals.tally_demand(info, &outcome);
-        } else {
-            totals.tally_prefetch(&outcome);
-        }
+        totals.tally_demand(info, &outcome);
     }
 }
 
@@ -991,78 +970,15 @@ impl SetAssocCache {
     /// [`SetAssocCache::access`] per element, in order. Returns the number
     /// of demand misses in the run.
     pub fn access_batch(&mut self, infos: &[AccessInfo], scratch: &mut BatchScratch) -> u64 {
-        self.batch_inner::<true>(infos, scratch)
-    }
-
-    /// Batched counterpart of [`SetAssocCache::prefetch`]: identical block
-    /// placement to [`SetAssocCache::access_batch`], accounted as prefetch
-    /// traffic.
-    pub fn prefetch_batch(&mut self, infos: &[AccessInfo], scratch: &mut BatchScratch) {
-        self.batch_inner::<false>(infos, scratch);
-    }
-
-    fn batch_inner<const DEMAND: bool>(
-        &mut self,
-        infos: &[AccessInfo],
-        scratch: &mut BatchScratch,
-    ) -> u64 {
         let mut misses = 0;
         for start in (0..infos.len()).step_by(BATCH_TILE) {
             let tile = &infos[start..infos.len().min(start + BATCH_TILE)];
-            scratch.prepare(&self.core, tile);
+            scratch.prepare(&self.core, tile.iter().map(|info| info.addr));
             let mut totals = BatchTotals::default();
             let core = &mut self.core;
             for_each_policy!(
                 &mut self.policy,
-                p => batch_kernel::<DEMAND, _>(core, p, tile, scratch, &mut totals)
-            );
-            totals.flush(&mut self.stats);
-            misses += if DEMAND {
-                totals.demand_misses
-            } else {
-                totals.prefetch_fills
-            };
-        }
-        misses
-    }
-
-    /// Replays one flush-free tile of a recorded post-L2 stream — demand,
-    /// prefetch and writeback records freely interleaved, each tagged with
-    /// its [`BatchOp`] — through the mixed batched kernel. Bit-identical to
-    /// dispatching each record through [`SetAssocCache::access`] /
-    /// [`SetAssocCache::prefetch`] / [`SetAssocCache::writeback`] in order.
-    /// Returns the number of demand misses (the requests that reach memory).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `infos` and `ops` have different lengths.
-    pub fn replay_batch(
-        &mut self,
-        infos: &[AccessInfo],
-        ops: &[BatchOp],
-        scratch: &mut BatchScratch,
-    ) -> u64 {
-        assert_eq!(infos.len(), ops.len(), "one BatchOp per request");
-        let mut misses = 0;
-        for start in (0..infos.len()).step_by(BATCH_TILE) {
-            let end = infos.len().min(start + BATCH_TILE);
-            let tile = &infos[start..end];
-            let tile_ops = &ops[start..end];
-            scratch.prepare(&self.core, tile);
-            let mut totals = BatchTotals::default();
-            let core = &mut self.core;
-            let decode = |i: usize| (tile[i], tile_ops[i]);
-            for_each_policy!(
-                &mut self.policy,
-                p => replay_kernel(
-                    core,
-                    p,
-                    &decode,
-                    &scratch.blocks,
-                    &scratch.sets,
-                    &scratch.patterns,
-                    &mut totals
-                )
+                p => batch_kernel(core, p, tile, scratch, &mut totals)
             );
             totals.flush(&mut self.stats);
             misses += totals.demand_misses;
@@ -1070,14 +986,16 @@ impl SetAssocCache {
         misses
     }
 
-    /// The fused variant of [`SetAssocCache::replay_batch`]: the lookup
-    /// columns are precomputed straight off the raw byte-address column of a
-    /// trace tile and each record is decoded **in registers** by `decode(i)`
-    /// the moment the kernel consumes it — no intermediate request or op
-    /// buffer is ever materialized. This is the primary replay entry point;
-    /// the slice-based [`SetAssocCache::replay_batch`] is the same kernel
-    /// fed from already-decoded buffers. Returns the number of demand
-    /// misses.
+    /// Replays one flush-free tile of a recorded post-L2 stream — demand,
+    /// prefetch and writeback records freely interleaved — through the
+    /// mixed batched kernel. The lookup columns are precomputed straight off
+    /// the raw byte-address column `addrs`, and record `i` is decoded **in
+    /// registers** by `decode(i)` (its request and [`BatchOp`]) the moment
+    /// the kernel consumes it, so no intermediate request or op buffer is
+    /// ever materialized. Bit-identical to dispatching each record through
+    /// [`SetAssocCache::access`] / [`SetAssocCache::prefetch`] /
+    /// [`SetAssocCache::writeback`] in order. Returns the number of demand
+    /// misses (the requests that reach memory).
     pub fn replay_batch_fused<F>(
         &mut self,
         addrs: &[u64],
@@ -1090,7 +1008,7 @@ impl SetAssocCache {
         let mut misses = 0;
         for start in (0..addrs.len()).step_by(BATCH_TILE) {
             let end = addrs.len().min(start + BATCH_TILE);
-            scratch.prepare_addrs(&self.core, &addrs[start..end]);
+            scratch.prepare(&self.core, addrs[start..end].iter().copied());
             let mut totals = BatchTotals::default();
             let core = &mut self.core;
             let tile_decode = |i: usize| decode(start + i);
@@ -1367,7 +1285,8 @@ mod tests {
         let mut batched = lru_cache(2048, 4);
         let mut scratch = BatchScratch::new();
         for window in run.chunks(64) {
-            batched.prefetch_batch(window, &mut scratch);
+            let addrs: Vec<u64> = window.iter().map(|info| info.addr).collect();
+            batched.replay_batch_fused(&addrs, &mut scratch, |i| (window[i], BatchOp::Prefetch));
         }
         assert_eq!(scalar.stats(), batched.stats());
         assert_eq!(scalar.resident_blocks(), batched.resident_blocks());
@@ -1448,7 +1367,8 @@ mod tests {
             let mut misses = 0;
             // Uneven tile boundaries exercise scratch reuse across tiles.
             for (infos, ops) in run.chunks(77).zip(ops.chunks(77)) {
-                misses += batched.replay_batch(infos, ops, &mut scratch);
+                let addrs: Vec<u64> = infos.iter().map(|info| info.addr).collect();
+                misses += batched.replay_batch_fused(&addrs, &mut scratch, |i| (infos[i], ops[i]));
             }
             assert_eq!(scalar.stats(), batched.stats());
             assert_eq!(misses, scalar_misses);
@@ -1552,8 +1472,10 @@ mod tests {
         let mut c = lru_cache(4096, 4);
         let mut scratch = BatchScratch::new();
         assert_eq!(c.access_batch(&[], &mut scratch), 0);
-        c.prefetch_batch(&[], &mut scratch);
-        assert_eq!(c.replay_batch(&[], &[], &mut scratch), 0);
+        assert_eq!(
+            c.replay_batch_fused(&[], &mut scratch, |_| unreachable!("no records")),
+            0
+        );
         assert_eq!(c.stats(), &CacheStats::new());
     }
 

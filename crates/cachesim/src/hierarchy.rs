@@ -5,27 +5,24 @@
 //! [`crate::stage`]: the policy-independent upper levels
 //! ([`UpperLevels`]: L1 + L2 + prefetcher + GRASP's region classification,
 //! exactly as in Fig. 4 of the paper) and the LLC stage ([`LlcStage`]) under
-//! whichever replacement policy the experiment is evaluating. When trace
-//! recording is enabled, every post-L2 request is appended to an
-//! [`LlcTrace`] *and* simulated — the same stream that, replayed through
-//! [`LlcTrace::replay`], reproduces this hierarchy's statistics bit-for-bit.
+//! whichever replacement policy the experiment is evaluating. Recording the
+//! post-L2 stream is not this type's job: an [`crate::trace::LlcTrace`] fed
+//! by a bare [`UpperLevels`] records it, and its replay reproduces this
+//! hierarchy's statistics bit-for-bit.
 
 use crate::config::HierarchyConfig;
 use crate::hint::RegionClassifier;
 use crate::policy::PolicyDispatch;
 use crate::request::{AccessInfo, AccessKind, AccessSite, RegionLabel};
-use crate::stage::{LlcSink, LlcStage, UpperLevels};
+use crate::stage::{LlcStage, UpperLevels};
 use crate::stats::HierarchyStats;
 use crate::timing::TimingModel;
-use crate::trace::LlcTrace;
 
 /// A three-level cache hierarchy with an L1 stride prefetcher and GRASP's
 /// address classification in front of the LLC.
 pub struct Hierarchy {
     upper: UpperLevels,
     llc: LlcStage,
-    recording: bool,
-    llc_trace: LlcTrace,
 }
 
 impl std::fmt::Debug for Hierarchy {
@@ -35,44 +32,6 @@ impl std::fmt::Debug for Hierarchy {
             .field("llc_policy", &self.llc.policy_name())
             .field("memory_accesses", &self.llc.memory_accesses())
             .finish()
-    }
-}
-
-/// Sink used on the direct simulation path: optionally records each post-L2
-/// request, then forwards it into the LLC stage.
-struct SimulateAndRecord<'a> {
-    llc: &'a mut LlcStage,
-    trace: &'a mut LlcTrace,
-    recording: bool,
-}
-
-impl LlcSink for SimulateAndRecord<'_> {
-    fn demand(&mut self, info: &AccessInfo) -> bool {
-        if self.recording {
-            self.trace.push(info);
-        }
-        self.llc.demand(info)
-    }
-
-    fn prefetch(&mut self, info: &AccessInfo) {
-        if self.recording {
-            self.trace.push_prefetch(info);
-        }
-        self.llc.prefetch(info);
-    }
-
-    fn writeback(&mut self, addr: u64) {
-        if self.recording {
-            self.trace.push_writeback(addr);
-        }
-        self.llc.writeback(addr);
-    }
-
-    fn push_batch(&mut self, addrs: &[u64], meta: &[u32]) {
-        if self.recording {
-            self.trace.push_batch_raw(addrs, meta);
-        }
-        self.llc.push_batch(addrs, meta);
     }
 }
 
@@ -90,17 +49,6 @@ impl Hierarchy {
         Self {
             upper: UpperLevels::new(config, classifier),
             llc: LlcStage::new(config.llc, llc_policy),
-            recording: config.record_llc_trace,
-            llc_trace: LlcTrace::new(),
-        }
-    }
-
-    /// Pre-sizes the LLC trace for roughly `expected_records` records so the
-    /// recording loop does not reallocate (only meaningful when
-    /// [`HierarchyConfig::record_llc_trace`] is set).
-    pub fn reserve_llc_trace(&mut self, expected_records: usize) {
-        if self.recording {
-            self.llc_trace.reserve(expected_records);
         }
     }
 
@@ -139,26 +87,16 @@ impl Hierarchy {
         site: AccessSite,
         region: RegionLabel,
     ) -> bool {
-        let mut sink = SimulateAndRecord {
-            llc: &mut self.llc,
-            trace: &mut self.llc_trace,
-            recording: self.recording,
-        };
-        self.upper.access(addr, kind, site, region, &mut sink)
+        self.upper.access(addr, kind, site, region, &mut self.llc)
     }
 
     /// Performs a whole run of demand accesses through the batched kernel
     /// ([`UpperLevels::access_batch`]): the upper levels filter the run
-    /// column-wise and whatever escapes L2 is appended to the trace (when
-    /// recording) and simulated by the LLC in bulk. Bit-identical to calling
-    /// [`Hierarchy::access`] once per element, in order.
+    /// column-wise and whatever escapes L2 is simulated by the LLC in bulk.
+    /// Bit-identical to calling [`Hierarchy::access`] once per element, in
+    /// order.
     pub fn access_batch(&mut self, batch: &[AccessInfo]) {
-        let mut sink = SimulateAndRecord {
-            llc: &mut self.llc,
-            trace: &mut self.llc_trace,
-            recording: self.recording,
-        };
-        self.upper.access_batch(batch, &mut sink);
+        self.upper.access_batch(batch, &mut self.llc);
     }
 
     /// Convenience wrapper for a read access.
@@ -181,22 +119,6 @@ impl Hierarchy {
         }
     }
 
-    /// The recorded post-L2 trace (empty unless
-    /// [`HierarchyConfig::record_llc_trace`] is set). The upper-level
-    /// context is only attached on [`Hierarchy::into_llc_trace`].
-    pub fn llc_trace(&self) -> &LlcTrace {
-        &self.llc_trace
-    }
-
-    /// Consumes the hierarchy and returns the recorded trace, with the
-    /// upper-level statistics and programmed ABR bounds attached so the
-    /// trace alone can reproduce full hierarchy statistics on replay.
-    pub fn into_llc_trace(self) -> LlcTrace {
-        let mut trace = self.llc_trace;
-        trace.set_context(self.upper.record_context());
-        trace
-    }
-
     /// Estimated execution cycles under `model`, given `instructions` of
     /// non-memory work.
     pub fn estimated_cycles(&self, model: &TimingModel, instructions: u64) -> f64 {
@@ -207,14 +129,10 @@ impl Hierarchy {
     /// clears the prefetcher's stride training (used between warm-up and the
     /// region of interest). Without the policy/prefetcher resets, stale RRPV
     /// counters, predictor tables and trained strides from the warm-up phase
-    /// would leak into the measured phase. When recording, a flush marker is
-    /// appended so replay reproduces the reset at the same stream position.
+    /// would leak into the measured phase.
     pub fn flush(&mut self) {
         self.upper.flush();
         self.llc.flush();
-        if self.recording {
-            self.llc_trace.push_flush();
-        }
     }
 }
 
@@ -224,12 +142,34 @@ mod tests {
     use crate::config::HierarchyConfig;
     use crate::hint::{AddressBoundRegisters, ReuseHint};
     use crate::policy::rrip::Drrip;
-    use crate::trace::TraceEvent;
+    use crate::trace::{LlcTrace, TraceEvent};
 
     fn hierarchy(classifier: RegionClassifier) -> Hierarchy {
-        let config = HierarchyConfig::scaled_default().with_llc_trace();
+        let config = HierarchyConfig::scaled_default();
         let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
         Hierarchy::new(config, llc, classifier)
+    }
+
+    /// Records the post-L2 stream of `batch` (demand accesses, in order)
+    /// with the LLC-free recorder: bare upper levels feeding an [`LlcTrace`].
+    fn record(classifier: RegionClassifier, batch: &[AccessInfo]) -> LlcTrace {
+        let mut upper = UpperLevels::new(HierarchyConfig::scaled_default(), classifier);
+        let mut trace = LlcTrace::new();
+        for info in batch {
+            upper.access(info.addr, info.kind, info.site, info.region, &mut trace);
+        }
+        trace.set_context(upper.record_context());
+        trace
+    }
+
+    fn demand(addr: u64, kind: AccessKind, site: AccessSite, region: RegionLabel) -> AccessInfo {
+        AccessInfo {
+            addr,
+            kind,
+            site,
+            hint: ReuseHint::Default,
+            region,
+        }
     }
 
     #[test]
@@ -271,12 +211,16 @@ mod tests {
         abrs.program(0x0, 0x100000);
         let config = HierarchyConfig::scaled_default();
         let classifier = RegionClassifier::new(abrs, config.llc.size_bytes);
-        let mut h = hierarchy(classifier);
         // An address at the start of the property array is High-Reuse; one
         // far past the two LLC-sized regions is Low-Reuse.
-        h.read(0x0, 1, RegionLabel::Property);
-        h.read(0xF0000, 1, RegionLabel::Property);
-        let demands = h.llc_trace().demand_vec();
+        let trace = record(
+            classifier,
+            &[
+                demand(0x0, AccessKind::Read, 1, RegionLabel::Property),
+                demand(0xF0000, AccessKind::Read, 1, RegionLabel::Property),
+            ],
+        );
+        let demands = trace.demand_vec();
         assert_eq!(demands.len(), 2);
         assert_eq!(demands[0].hint, ReuseHint::High);
         assert_eq!(demands[1].hint, ReuseHint::Low);
@@ -329,38 +273,20 @@ mod tests {
     }
 
     #[test]
-    fn flush_markers_are_recorded() {
-        let mut h = hierarchy(RegionClassifier::disabled());
-        h.read(0x40, 1, RegionLabel::Other);
-        h.flush();
-        h.read(0x40, 1, RegionLabel::Other);
-        let events = h.llc_trace().to_vec();
-        assert_eq!(events.len(), 3);
-        assert!(matches!(events[1], TraceEvent::Flush));
-    }
-
-    #[test]
-    fn trace_recording_can_be_disabled() {
-        let config = HierarchyConfig::scaled_default();
-        let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
-        let mut h = Hierarchy::new(config, llc, RegionClassifier::disabled());
-        h.read(0x123456, 1, RegionLabel::Property);
-        assert!(h.llc_trace().is_empty());
-    }
-
-    #[test]
     fn dirty_victims_reach_the_llc_as_writebacks() {
-        let mut h = hierarchy(RegionClassifier::disabled());
         // Touch far more distinct blocks than L1 + L2 hold, writing each:
         // dirty victims must spill past L2.
-        for i in 0..8192u64 {
-            h.write(i * 64 * 17, 1, RegionLabel::Property);
+        let writes: Vec<AccessInfo> = (0..8192u64)
+            .map(|i| demand(i * 64 * 17, AccessKind::Write, 1, RegionLabel::Property))
+            .collect();
+        let mut h = hierarchy(RegionClassifier::disabled());
+        for info in &writes {
+            h.access(info.addr, info.kind, info.site, info.region);
         }
         let stats = h.stats();
         assert!(stats.llc.writeback_accesses > 0);
-        // The recorded trace carries the same writebacks.
-        let recorded = h
-            .llc_trace()
+        // The recorded trace of the same stream carries the same writebacks.
+        let recorded = record(RegionClassifier::disabled(), &writes)
             .iter()
             .filter(|e| matches!(e, TraceEvent::Writeback(_)))
             .count() as u64;
@@ -378,17 +304,17 @@ mod tests {
                         0 => i * 8,
                         _ => (x >> 22) % (4 * 1024 * 1024),
                     };
-                    AccessInfo {
+                    let kind = if i % 4 == 1 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    demand(
                         addr,
-                        kind: if i % 4 == 1 {
-                            AccessKind::Write
-                        } else {
-                            AccessKind::Read
-                        },
-                        site: (i % 6) as u16,
-                        hint: ReuseHint::Default,
-                        region: RegionLabel::ALL[(i % 5) as usize],
-                    }
+                        kind,
+                        (i % 6) as u16,
+                        RegionLabel::ALL[(i % 5) as usize],
+                    )
                 })
                 .collect()
         };
@@ -401,26 +327,29 @@ mod tests {
             batched.access_batch(window);
         }
         assert_eq!(scalar.stats(), batched.stats());
-        assert_eq!(scalar.llc_trace(), batched.llc_trace());
     }
 
     #[test]
     fn recorded_trace_replays_to_identical_hierarchy_stats() {
-        let config = HierarchyConfig::scaled_default().with_llc_trace();
-        let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
-        let mut h = Hierarchy::new(config, llc, RegionClassifier::disabled());
         let mut x = 3u64;
-        for i in 0..30_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(13);
-            let addr = (x >> 24) % (4 * 1024 * 1024);
-            if i % 3 == 0 {
-                h.write(addr, 2, RegionLabel::Property);
-            } else {
-                h.read(addr, 1, RegionLabel::Property);
-            }
+        let stream: Vec<AccessInfo> = (0..30_000u64)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(13);
+                let addr = (x >> 24) % (4 * 1024 * 1024);
+                if i % 3 == 0 {
+                    demand(addr, AccessKind::Write, 2, RegionLabel::Property)
+                } else {
+                    demand(addr, AccessKind::Read, 1, RegionLabel::Property)
+                }
+            })
+            .collect();
+        let mut h = hierarchy(RegionClassifier::disabled());
+        for info in &stream {
+            h.access(info.addr, info.kind, info.site, info.region);
         }
         let direct = h.stats();
-        let trace = h.into_llc_trace();
+        let config = HierarchyConfig::scaled_default();
+        let trace = record(RegionClassifier::disabled(), &stream);
         let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
         let replayed = trace.replay(config.llc, llc);
         assert_eq!(direct, replayed, "replay must be bit-identical");

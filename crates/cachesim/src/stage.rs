@@ -167,8 +167,7 @@ impl UpperLevels {
     }
 
     /// Snapshot of everything a recorded trace carries alongside the post-L2
-    /// stream (the single source of truth for both recording paths: the
-    /// trace-recording [`crate::Hierarchy`] and the LLC-free recorder).
+    /// stream: the upper-level statistics and the programmed ABR bounds.
     pub fn record_context(&self) -> crate::trace::RecordContext {
         crate::trace::RecordContext {
             l1: self.l1.stats().clone(),

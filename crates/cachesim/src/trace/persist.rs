@@ -110,7 +110,7 @@ impl Codec {
     /// lookups fall back through.
     pub const ALL: [Codec; 2] = [Codec::DeltaVarint, Codec::Raw];
 
-    /// Stable human-readable name (the `GRASP_TRACE_CODEC` vocabulary).
+    /// Stable human-readable name (the spec's `codec` vocabulary).
     pub fn label(self) -> &'static str {
         match self {
             Codec::Raw => "raw",

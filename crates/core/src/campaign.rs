@@ -59,7 +59,7 @@ use crate::experiment::{Experiment, RecordedRun, RunResult};
 use crate::flight::{FlightRegistry, FlightServed};
 use crate::policy::PolicyKind;
 use crate::spec::CampaignSpec;
-use crate::trace_store::{codec_from_env, TraceStore, TraceStoreKey};
+use crate::trace_store::{TraceStore, TraceStoreKey};
 use grasp_analytics::apps::AppKind;
 use grasp_cachesim::config::HierarchyConfig;
 use grasp_cachesim::Codec;
@@ -315,7 +315,6 @@ pub struct Campaign {
     apps: Vec<AppKind>,
     policies: Vec<PolicyKind>,
     hierarchy: Option<HierarchyConfig>,
-    record_trace: bool,
     mode: ExecutionMode,
     threads: usize,
     store: Option<Arc<TraceStore>>,
@@ -327,8 +326,8 @@ impl Campaign {
     /// Creates an empty campaign at the given scale.
     ///
     /// Defaults: the DBG reordering of the headline figures, the
-    /// scale-appropriate hierarchy, no trace recording, the pipelined
-    /// execution plan, and one worker per available CPU.
+    /// scale-appropriate hierarchy, the pipelined execution plan, and one
+    /// worker per available CPU.
     pub fn new(scale: Scale) -> Self {
         Self {
             scale,
@@ -338,11 +337,10 @@ impl Campaign {
             apps: Vec::new(),
             policies: Vec::new(),
             hierarchy: None,
-            record_trace: false,
             mode: ExecutionMode::default(),
             threads: 0, // auto: resolved to available_parallelism at run time
             store: None,
-            codec: None, // resolved from GRASP_TRACE_CODEC (default delta-varint)
+            codec: None, // delta-varint
             flights: None,
         }
     }
@@ -369,9 +367,6 @@ impl Campaign {
         if let Some(hierarchy) = spec.hierarchy {
             campaign = campaign.hierarchy(hierarchy);
         }
-        if spec.record_trace {
-            campaign = campaign.recording_llc_trace();
-        }
         if let Some(path) = &spec.store {
             let store = TraceStore::open(path.as_str()).map_err(Error::from)?;
             campaign = campaign.with_trace_store(Arc::new(store));
@@ -394,7 +389,6 @@ impl Campaign {
             apps: self.apps.clone(),
             policies: self.policies.clone(),
             hierarchy: self.hierarchy,
-            record_trace: self.record_trace,
             mode: self.mode,
             threads: self.threads,
             store: self
@@ -466,13 +460,6 @@ impl Campaign {
         self
     }
 
-    /// Requests an LLC trace in every cell's [`RunResult`] (the OPT study).
-    #[must_use]
-    pub fn recording_llc_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
     /// Attaches a persistent trace store. Streams whose recording is already
     /// in the store **skip the record phase entirely** — the persisted
     /// stream, application output and instruction estimate are loaded and
@@ -483,32 +470,6 @@ impl Campaign {
     #[must_use]
     pub fn with_trace_store(mut self, store: Arc<TraceStore>) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Attaches the store named by the `GRASP_TRACE_STORE` environment
-    /// variable, when set.
-    ///
-    /// This is the documented **fallback** for campaigns whose
-    /// [`CampaignSpec`] leaves the `store` field unset — prefer the spec
-    /// field (or [`Campaign::with_trace_store`]), which makes the store an
-    /// explicit, serializable part of the campaign. When the variable is
-    /// unset the call is a no-op, and says so once per process on stderr
-    /// (the silent no-op used to make "why is every run re-recording?"
-    /// needlessly hard to diagnose).
-    #[must_use]
-    pub fn trace_store_from_env(mut self) -> Self {
-        if let Some(store) = TraceStore::from_env() {
-            self.store = Some(Arc::new(store));
-        } else {
-            static UNSET: std::sync::Once = std::sync::Once::new();
-            UNSET.call_once(|| {
-                eprintln!(
-                    "trace store: GRASP_TRACE_STORE is not set; campaign runs without \
-                     a persistent trace store (every stream records fresh)"
-                );
-            });
-        }
         self
     }
 
@@ -542,8 +503,7 @@ impl Campaign {
     }
 
     /// Selects the [`Codec`] newly recorded streams are **published** with
-    /// (default: the `GRASP_TRACE_CODEC` environment variable, falling back
-    /// to [`Codec::DeltaVarint`]). Loads are codec-agnostic — an entry in
+    /// (default: [`Codec::DeltaVarint`]). Loads are codec-agnostic — an entry in
     /// any codec serves a hit — so changing this never invalidates a store.
     #[must_use]
     pub fn trace_codec(mut self, codec: Codec) -> Self {
@@ -554,7 +514,7 @@ impl Campaign {
     /// The publication codec a run actually uses (see
     /// [`Campaign::trace_codec`]).
     fn resolved_codec(&self) -> Codec {
-        self.codec.unwrap_or_else(codec_from_env)
+        self.codec.unwrap_or(Codec::DeltaVarint)
     }
 
     /// Selects the execution plan (default: [`ExecutionMode::Pipelined`]).
@@ -625,22 +585,10 @@ impl Campaign {
 
     /// [`Campaign::run`] with an optional per-cell completion observer.
     fn run_observed(&self, observer: Option<CellObserver<'_>>) -> CampaignResult {
-        // Pin the publication codec up front when a store or a shared
-        // flight registry is attached: store keys are built per stream job
-        // (possibly on worker threads), and the environment should be
-        // consulted — and a bad value warned about — exactly once per run,
-        // not once per stream.
-        let pinned;
-        let this = if self.codec.is_none() && (self.store.is_some() || self.flights.is_some()) {
-            pinned = self.clone().trace_codec(codec_from_env());
-            &pinned
-        } else {
-            self
-        };
-        let budget = this.worker_budget(this.cells().len());
-        let result = match this.mode {
-            ExecutionMode::Pipelined => return this.run_pipelined(budget, observer),
-            ExecutionMode::Direct => this.run_direct(budget),
+        let budget = self.worker_budget(self.cells().len());
+        let result = match self.mode {
+            ExecutionMode::Pipelined => return self.run_pipelined(budget, observer),
+            ExecutionMode::Direct => self.run_direct(budget),
         };
         // The direct plan has no per-cell completion points to hook, so the
         // observer sees the finished grid in grid order.
@@ -693,16 +641,13 @@ impl Campaign {
             .cells()
             .into_iter()
             .map(|cell| {
-                let mut experiment = self.experiment_for(
+                let experiment = self.experiment_for(
                     &mut base,
                     &mut reordered,
                     cell.dataset,
                     cell.technique,
                     cell.app,
                 );
-                if self.record_trace {
-                    experiment = experiment.recording_llc_trace();
-                }
                 (cell, experiment)
             })
             .collect();
@@ -851,9 +796,8 @@ impl Campaign {
     ///   last cell completes, so peak trace memory is bounded by the
     ///   streams with in-flight cells, not the whole grid.
     ///
-    /// Each cell's replay is one [`RecordedRun::replay`] (or
-    /// [`RecordedRun::replay_with_trace`]) call, bit-identical to the direct
-    /// plan's simulation of the cell; result slots are indexed by cell, so
+    /// Each cell's replay is one [`RecordedRun::replay`] call, bit-identical
+    /// to the direct plan's simulation of the cell; result slots are indexed by cell, so
     /// grid order never depends on scheduling.
     fn run_pipelined(&self, workers: usize, observer: Option<CellObserver<'_>>) -> CampaignResult {
         let (cells, streams) = self.stream_plan();
@@ -1018,11 +962,7 @@ impl Campaign {
                 drop(guard);
 
                 let started = Instant::now();
-                let result = if self.record_trace {
-                    recorded.replay_with_trace(cell.policy)
-                } else {
-                    recorded.replay(cell.policy)
-                };
+                let result = recorded.replay(cell.policy);
                 let elapsed = started.elapsed().as_secs_f64();
                 drop(recorded);
                 let run = CampaignRun { cell, result };
@@ -1388,23 +1328,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_trace_codec_overrides_the_environment_default() {
-        // The builder wins over GRASP_TRACE_CODEC; the resolved codec lands
-        // in every stream's store key (and thereby the entry file name).
-        let campaign = tiny_campaign().trace_codec(Codec::Raw);
-        assert_eq!(campaign.resolved_codec(), Codec::Raw);
-        let (_, streams) = campaign.stream_plan();
-        assert!(streams
-            .iter()
-            .all(|job| campaign.store_key(job).codec == Codec::Raw));
-        let dv = tiny_campaign().trace_codec(Codec::DeltaVarint);
-        let (_, streams) = dv.stream_plan();
-        assert!(streams
-            .iter()
-            .all(|job| dv.store_key(job).file_name().ends_with(".v2.trace")));
-    }
-
-    #[test]
     fn degenerate_thread_counts_are_clamped() {
         // Zero resolves to available parallelism and absurd requests fall
         // back to it; every budget is capped at the cell count. Moderate
@@ -1452,6 +1375,17 @@ mod tests {
         assert_eq!(rebuilt.cells(), campaign.cells());
         let decoded = CampaignSpec::from_json(&spec.to_json()).expect("wire round-trip");
         assert_eq!(decoded, spec);
+        // The spec's codec lands in every stream's store key (and thereby
+        // the entry file name); without one, streams key delta-varint.
+        let (_, streams) = rebuilt.stream_plan();
+        assert!(streams
+            .iter()
+            .all(|job| rebuilt.store_key(job).codec == Codec::Raw));
+        let default = tiny_campaign();
+        let (_, streams) = default.stream_plan();
+        assert!(streams
+            .iter()
+            .all(|job| default.store_key(job).file_name().ends_with(".v2.trace")));
     }
 
     #[test]

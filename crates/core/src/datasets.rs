@@ -352,36 +352,18 @@ impl std::fmt::Display for DatasetId {
     }
 }
 
-/// How an ingested on-disk graph is backed when an experiment runs over it.
-///
-/// Both backings produce bit-identical results — [`GraphBacking::Mapped`]
-/// serves adjacency slices straight from the mmapped column files, while
-/// [`GraphBacking::InMemory`] decodes the same files into a [`Csr`] up
-/// front.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum GraphBacking {
-    /// mmap the column files and traverse them in place (out-of-core).
-    #[default]
-    Mapped,
-    /// Decode the columns into an in-memory [`Csr`] before running.
-    InMemory,
-}
-
-/// One catalog entry: where an ingested graph lives and how to back it.
+/// One catalog entry: where an ingested graph lives.
 #[derive(Debug, Clone)]
 pub struct CatalogEntry {
     /// Directory holding `graph.gcsr` and the column files.
     pub path: PathBuf,
-    /// Backing used when the graph is opened for an experiment.
-    pub backing: GraphBacking,
 }
 
 /// Registry of ingested on-disk graphs, keyed by content hash.
 ///
 /// A campaign that lists [`DatasetId::Ingested`] coordinates resolves them
 /// here: registration reads (and checksums) the on-disk header to learn the
-/// hash, and [`DatasetCatalog::load`] opens the graph with the registered
-/// backing.
+/// hash, and [`DatasetCatalog::load`] maps the graph's column files.
 #[derive(Debug, Clone, Default)]
 pub struct DatasetCatalog {
     entries: HashMap<GraphHash, CatalogEntry>,
@@ -393,23 +375,13 @@ impl DatasetCatalog {
         Self::default()
     }
 
-    /// Registers the on-disk graph at `path` with the default (mmap)
-    /// backing. Returns its content hash, read from the checksummed header.
+    /// Registers the on-disk graph at `path`. Returns its content hash,
+    /// read from the checksummed header.
     pub fn register(&mut self, path: impl AsRef<Path>) -> Result<GraphHash, DiskCsrError> {
-        self.register_with_backing(path, GraphBacking::default())
-    }
-
-    /// Registers the on-disk graph at `path`, choosing the backing
-    /// experiments open it with.
-    pub fn register_with_backing(
-        &mut self,
-        path: impl AsRef<Path>,
-        backing: GraphBacking,
-    ) -> Result<GraphHash, DiskCsrError> {
         let path = path.as_ref().to_path_buf();
         let header = ingest::read_header(&path)?;
         let hash = GraphHash(header.content_hash);
-        self.entries.insert(hash, CatalogEntry { path, backing });
+        self.entries.insert(hash, CatalogEntry { path });
         Ok(hash)
     }
 
@@ -438,22 +410,16 @@ impl DatasetCatalog {
         self.entries.keys().copied()
     }
 
-    /// Opens a registered graph with its registered backing.
-    ///
-    /// The mmap backing validates the header and column sizes on open; the
-    /// in-memory backing additionally verifies every column checksum while
-    /// decoding.
+    /// Opens a registered graph by mapping its column files, which are
+    /// traversed in place (out-of-core). Opening validates the header and
+    /// the column sizes.
     pub fn load(&self, hash: GraphHash) -> Result<Arc<dyn GraphView>, DiskCsrError> {
         let entry = self.entries.get(&hash).ok_or_else(|| {
             DiskCsrError::Corrupt(format!(
                 "graph {hash} is not registered in the dataset catalog"
             ))
         })?;
-        let graph: Arc<dyn GraphView> = match entry.backing {
-            GraphBacking::Mapped => Arc::new(ingest::MappedCsr::open(&entry.path)?),
-            GraphBacking::InMemory => Arc::new(ingest::load_csr(&entry.path)?),
-        };
-        Ok(graph)
+        Ok(Arc::new(ingest::MappedCsr::open(&entry.path)?))
     }
 }
 

@@ -25,8 +25,6 @@ pub struct RunResult {
     pub cycles: f64,
     /// Application output (values, iterations, edges processed).
     pub app: AppResult,
-    /// The recorded LLC demand trace, when requested.
-    pub llc_trace: Option<LlcTrace>,
 }
 
 impl RunResult {
@@ -90,13 +88,16 @@ impl RecordedRun {
     /// Replays the stream under `policy` and returns a [`RunResult`]
     /// bit-identical to [`Experiment::run`] with the same policy.
     pub fn replay(&self, policy: PolicyKind) -> RunResult {
-        self.replay_inner(policy, false)
-    }
-
-    /// Like [`RecordedRun::replay`], but the result also carries a copy of
-    /// the recorded trace (the OPT study asks for it).
-    pub fn replay_with_trace(&self, policy: PolicyKind) -> RunResult {
-        self.replay_inner(policy, true)
+        let stats = self
+            .trace
+            .replay(self.llc, policy.build_dispatch(&self.llc));
+        let cycles = self.timing.cycles(&stats, self.instructions);
+        RunResult {
+            policy,
+            stats,
+            cycles,
+            app: self.app.clone(),
+        }
     }
 
     /// Replays through the per-event scalar path instead of the batched
@@ -112,21 +113,6 @@ impl RecordedRun {
             stats,
             cycles,
             app: self.app.clone(),
-            llc_trace: None,
-        }
-    }
-
-    fn replay_inner(&self, policy: PolicyKind, with_trace: bool) -> RunResult {
-        let stats = self
-            .trace
-            .replay(self.llc, policy.build_dispatch(&self.llc));
-        let cycles = self.timing.cycles(&stats, self.instructions);
-        RunResult {
-            policy,
-            stats,
-            cycles,
-            app: self.app.clone(),
-            llc_trace: with_trace.then(|| (*self.trace).clone()),
         }
     }
 }
@@ -147,7 +133,6 @@ pub struct Experiment {
     app_config: AppConfig,
     hierarchy: HierarchyConfig,
     timing: TimingModel,
-    record_trace: bool,
 }
 
 impl Experiment {
@@ -168,7 +153,6 @@ impl Experiment {
             app_config: Self::traced_app_config(app),
             hierarchy,
             timing: TimingModel::default(),
-            record_trace: false,
         }
     }
 
@@ -222,14 +206,6 @@ impl Experiment {
         self
     }
 
-    /// Requests recording of the demand LLC access trace (needed for the OPT
-    /// study).
-    #[must_use]
-    pub fn recording_llc_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
     /// The graph under experiment (after any reordering).
     pub fn graph(&self) -> &dyn GraphView {
         &*self.graph
@@ -279,35 +255,21 @@ impl Experiment {
     /// Runs the application through the simulated hierarchy with `policy`
     /// managing the LLC.
     pub fn run(&self, policy: PolicyKind) -> RunResult {
-        let mut config = self.hierarchy;
-        if self.record_trace {
-            config.record_llc_trace = true;
-        }
-        let llc_policy = policy.build_dispatch(&config.llc);
+        let llc_policy = policy.build_dispatch(&self.hierarchy.llc);
         // The classifier starts disabled; the application programs the ABRs
         // with its Property Array bounds as part of start-up, which rebuilds
         // the classifier with the right bounds (Sec. III-A).
-        let mut hierarchy = Hierarchy::new(config, llc_policy, RegionClassifier::disabled());
-        if self.record_trace {
-            hierarchy.reserve_llc_trace(self.trace_capacity_estimate());
-        }
+        let hierarchy = Hierarchy::new(self.hierarchy, llc_policy, RegionClassifier::disabled());
         let mut ws = Workspace::new(TracedMemory::new(hierarchy));
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
         let instructions = app.instruction_estimate();
-        let traced = ws.into_memory();
-        let stats = traced.stats();
+        let stats = ws.into_memory().stats();
         let cycles = self.timing.cycles(&stats, instructions);
-        let llc_trace = if self.record_trace {
-            Some(traced.into_hierarchy().into_llc_trace())
-        } else {
-            None
-        };
         RunResult {
             policy,
             stats,
             cycles,
             app,
-            llc_trace,
         }
     }
 
@@ -325,9 +287,7 @@ impl Experiment {
     /// LLC policy, producing [`RunResult`]s bit-identical to
     /// [`Experiment::run`] at a fraction of the cost.
     pub fn record(&self) -> RecordedRun {
-        let mut config = self.hierarchy;
-        config.record_llc_trace = true;
-        let mut memory = RecordingMemory::new(config);
+        let mut memory = RecordingMemory::new(self.hierarchy);
         memory.reserve_trace(self.trace_capacity_estimate());
         let mut ws = Workspace::new(memory);
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
@@ -348,9 +308,7 @@ impl Experiment {
     /// batched record kernel. Bit-identical to [`Experiment::record`];
     /// exists as the reference side of record-parity tests and benchmarks.
     pub fn record_scalar(&self) -> RecordedRun {
-        let mut config = self.hierarchy;
-        config.record_llc_trace = true;
-        let mut memory = RecordingMemory::new(config);
+        let mut memory = RecordingMemory::new(self.hierarchy);
         memory.reserve_trace(self.trace_capacity_estimate());
         let mut ws = Workspace::unbuffered(memory);
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
@@ -398,7 +356,6 @@ mod tests {
         assert!(result.llc_misses() <= result.llc_accesses());
         assert_eq!(result.stats.memory_accesses, result.llc_misses());
         assert!(result.cycles > 0.0);
-        assert!(result.llc_trace.is_none());
     }
 
     #[test]
@@ -421,9 +378,10 @@ mod tests {
 
     #[test]
     fn trace_recording_captures_llc_accesses() {
-        let exp = small_experiment(AppKind::PageRank).recording_llc_trace();
+        let exp = small_experiment(AppKind::PageRank);
         let result = exp.run(PolicyKind::Rrip);
-        let trace = result.llc_trace.as_ref().expect("trace was requested");
+        let recorded = exp.record();
+        let trace = recorded.trace();
         assert_eq!(trace.demand_len() as u64, result.llc_accesses());
         assert!(
             trace.len() >= trace.demand_len(),
@@ -441,7 +399,6 @@ mod tests {
             assert_eq!(direct.stats, replayed.stats, "{policy}");
             assert_eq!(direct.app.values, replayed.app.values, "{policy}");
             assert!((direct.cycles - replayed.cycles).abs() < 1e-12, "{policy}");
-            assert!(replayed.llc_trace.is_none());
         }
     }
 
@@ -461,19 +418,6 @@ mod tests {
             assert_eq!(a.cycles, b.cycles, "{policy}");
             assert_eq!(a.app.values, b.app.values, "{policy}");
         }
-    }
-
-    #[test]
-    fn replay_with_trace_carries_the_recorded_stream() {
-        let exp = small_experiment(AppKind::PageRank);
-        let recorded = exp.record();
-        let direct = exp.recording_llc_trace().run(PolicyKind::Rrip);
-        let replayed = recorded.replay_with_trace(PolicyKind::Rrip);
-        assert_eq!(
-            direct.llc_trace.expect("direct trace"),
-            replayed.llc_trace.expect("replayed trace"),
-            "record() and a recording run() capture the same stream"
-        );
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use campaign::{
 };
 pub use compare::{geometric_mean_speedup, miss_reduction_pct, speedup_pct};
 pub use datasets::{
-    CatalogEntry, Dataset, DatasetCatalog, DatasetId, DatasetKind, GraphBacking, GraphHash, Scale,
+    CatalogEntry, Dataset, DatasetCatalog, DatasetId, DatasetKind, GraphHash, Scale,
 };
 pub use error::Error;
 pub use experiment::{Experiment, RecordedRun, RunResult};

@@ -13,16 +13,13 @@
 //! * [`CampaignSpec::cells`] is the **single definition of the grid**:
 //!   [`Campaign::cells`] delegates here, so a library run and a service run
 //!   of the same spec provably walk identical cells in identical order.
-//! * The spec's `store` / `codec` fields are the first-class way to
-//!   configure trace persistence; the `GRASP_TRACE_STORE` /
-//!   `GRASP_TRACE_CODEC` environment variables remain as documented
-//!   fallbacks for specs that leave them unset (see
-//!   `docs/configuration.md`).
+//! * The spec's `store` / `codec` fields configure trace persistence: no
+//!   environment variable stands in for a field the spec leaves unset.
 //!
 //! Wire vocabulary: datasets use their store slugs (`tw`, `g<hash:016x>`),
 //! techniques/apps/policies their paper labels (`DBG`, `PR`, `RRIP`; any
-//! pin fraction is spelled `PIN-<n>`), scale and mode lowercase slugs, the
-//! codec its `GRASP_TRACE_CODEC` vocabulary.
+//! pin fraction is spelled `PIN-<n>`), scale, mode and codec lowercase
+//! slugs (`raw`, `delta-varint`).
 //!
 //! [`Campaign`]: crate::campaign::Campaign
 //! [`Campaign::to_spec`]: crate::campaign::Campaign::to_spec
@@ -58,21 +55,15 @@ pub struct CampaignSpec {
     pub policies: Vec<PolicyKind>,
     /// Hierarchy override; `None` uses `scale.hierarchy()`.
     pub hierarchy: Option<HierarchyConfig>,
-    /// Whether every cell's result carries an LLC trace (the OPT study).
-    pub record_trace: bool,
     /// The execution plan.
     pub mode: ExecutionMode,
     /// Worker-thread budget; `0` means one worker per available CPU.
     pub threads: usize,
     /// Trace-store directory. `None` runs without persistence (unless the
-    /// campaign is later pointed at a store explicitly; the
-    /// `GRASP_TRACE_STORE` environment variable is the documented fallback
-    /// via [`Campaign::trace_store_from_env`]).
-    ///
-    /// [`Campaign::trace_store_from_env`]: crate::campaign::Campaign::trace_store_from_env
+    /// campaign is later pointed at a store explicitly).
     pub store: Option<String>,
-    /// Publication codec for newly recorded streams; `None` falls back to
-    /// the `GRASP_TRACE_CODEC` environment variable (default delta-varint).
+    /// Publication codec for newly recorded streams; `None` means
+    /// delta-varint.
     pub codec: Option<Codec>,
 }
 
@@ -87,7 +78,6 @@ impl CampaignSpec {
             apps: Vec::new(),
             policies: Vec::new(),
             hierarchy: None,
-            record_trace: false,
             mode: ExecutionMode::default(),
             threads: 0,
             store: None,
@@ -182,7 +172,6 @@ impl CampaignSpec {
         if let Some(hierarchy) = &self.hierarchy {
             map.insert("hierarchy".to_owned(), hierarchy_to_value(hierarchy));
         }
-        map.insert("record_trace".to_owned(), Json::Bool(self.record_trace));
         map.insert("mode".to_owned(), Json::string(self.mode.label()));
         map.insert("threads".to_owned(), Json::integer(self.threads as u64));
         if let Some(store) = &self.store {
@@ -208,14 +197,13 @@ impl CampaignSpec {
             .as_object()
             .ok_or_else(|| spec_err("spec must be a JSON object"))?;
         for key in object.keys() {
-            const KNOWN: [&str; 11] = [
+            const KNOWN: [&str; 10] = [
                 "scale",
                 "datasets",
                 "techniques",
                 "apps",
                 "policies",
                 "hierarchy",
-                "record_trace",
                 "mode",
                 "threads",
                 "store",
@@ -253,11 +241,6 @@ impl CampaignSpec {
 
         if let Some(hierarchy) = value.get("hierarchy") {
             spec.hierarchy = Some(hierarchy_from_value(hierarchy)?);
-        }
-        if let Some(record_trace) = value.get("record_trace") {
-            spec.record_trace = record_trace
-                .as_bool()
-                .ok_or_else(|| spec_err("record_trace must be a boolean"))?;
         }
         if let Some(mode) = value.get("mode") {
             let label = mode
@@ -408,13 +391,16 @@ fn hierarchy_to_value(hierarchy: &HierarchyConfig) -> Json {
             ]),
         ),
         ("prefetch", Json::Bool(hierarchy.prefetch)),
-        ("record_llc_trace", Json::Bool(hierarchy.record_llc_trace)),
     ])
 }
 
 fn hierarchy_from_value(value: &Json) -> Result<HierarchyConfig, Error> {
-    if value.as_object().is_none() {
-        return Err(spec_err("hierarchy must be a JSON object"));
+    let object = value
+        .as_object()
+        .ok_or_else(|| spec_err("hierarchy must be a JSON object"))?;
+    const KNOWN: [&str; 5] = ["l1", "l2", "llc", "latency", "prefetch"];
+    if let Some(key) = object.keys().find(|key| !KNOWN.contains(&key.as_str())) {
+        return Err(spec_err(format!("hierarchy: unknown field {key:?}")));
     }
     let level = |name: &'static str| -> Result<CacheConfig, Error> {
         cache_from_value(
@@ -456,7 +442,6 @@ fn hierarchy_from_value(value: &Json) -> Result<HierarchyConfig, Error> {
             memory_cycles: cycles("memory_cycles")?,
         },
         prefetch: flag("prefetch")?,
-        record_llc_trace: flag("record_llc_trace")?,
     })
 }
 
@@ -482,7 +467,6 @@ mod tests {
             PolicyKind::Grasp,
         ];
         spec.hierarchy = Some(Scale::Small.hierarchy().without_prefetch());
-        spec.record_trace = true;
         spec.mode = ExecutionMode::Direct;
         spec.threads = 6;
         spec.store = Some("/tmp/grasp store \"quoted\"".to_owned());
@@ -543,6 +527,18 @@ mod tests {
             (r#"{"scale":"tiny","mode":"replay"}"#, "unknown mode"),
             (r#"{"scale":"tiny","mode":"streaming"}"#, "unknown mode"),
             (r#"{"scale":"tiny","pipelines":2}"#, "unknown field"),
+            // Traces come only from the record pipeline; no spec asks a
+            // cell to carry one.
+            (r#"{"scale":"tiny","record_trace":true}"#, "unknown field"),
+            (
+                r#"{"scale":"tiny","hierarchy":{
+                    "l1":{"size_bytes":4096,"ways":8,"block_bytes":64},
+                    "l2":{"size_bytes":16384,"ways":8,"block_bytes":64},
+                    "llc":{"size_bytes":32768,"ways":16,"block_bytes":64},
+                    "latency":{"l1_cycles":4,"l2_cycles":10,"llc_cycles":30,"memory_cycles":200},
+                    "prefetch":true,"prefech":false}}"#,
+                "hierarchy: unknown field",
+            ),
             (r#"{"scale":"tiny","threads":-1}"#, "threads must be"),
             (r#"{"scale":"tiny","threads":1.5}"#, "threads must be"),
             (r#"{"scale":"tiny","codec":"zstd"}"#, "unknown codec"),
@@ -563,7 +559,7 @@ mod tests {
             "l2":{"size_bytes":262144,"ways":8,"block_bytes":64},
             "llc":{"size_bytes":32768,"ways":16,"block_bytes":64},
             "latency":{"l1_cycles":4,"l2_cycles":10,"llc_cycles":30,"memory_cycles":200},
-            "prefetch":true,"record_llc_trace":false}}"#;
+            "prefetch":true}}"#;
         let err = CampaignSpec::from_json(doc).expect_err("invalid geometry");
         assert_eq!(err.kind(), "spec/invalid");
         assert!(err.to_string().contains("power of two"), "{err}");
@@ -620,13 +616,9 @@ mod tests {
             if next(2) == 0 {
                 hierarchy = hierarchy.without_prefetch();
             }
-            if next(2) == 0 {
-                hierarchy = hierarchy.with_llc_trace();
-            }
             hierarchy.latency.memory_cycles = 100 + next(400);
             spec.hierarchy = Some(hierarchy);
         }
-        spec.record_trace = next(2) == 0;
         spec.mode = modes[next(2) as usize];
         spec.threads = next(9) as usize;
         if next(2) == 0 {

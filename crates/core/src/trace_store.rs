@@ -39,7 +39,7 @@
 //!
 //! The store location comes from the builder
 //! ([`Campaign::with_trace_store`](crate::campaign::Campaign::with_trace_store))
-//! or the `GRASP_TRACE_STORE` environment variable ([`TraceStore::from_env`]).
+//! or the spec's `store` field.
 
 use crate::datasets::{DatasetId, Scale};
 use grasp_analytics::apps::{AppConfig, AppKind, AppResult};
@@ -67,33 +67,6 @@ pub const STORE_ENTRY_VERSION: u32 = 1;
 
 /// Upper bound on a metadata block; anything larger is corruption, not data.
 const MAX_META_LEN: u32 = 1 << 28;
-
-/// The environment variable naming the store directory campaigns and the
-/// bench harness pick up by default.
-pub const STORE_ENV_VAR: &str = "GRASP_TRACE_STORE";
-
-/// The environment variable selecting the [`Codec`] campaigns persist new
-/// recordings with (`raw` or `delta-varint`; default: `delta-varint`).
-/// Only *publications* are affected — loads read whatever codec an entry
-/// carries.
-pub const CODEC_ENV_VAR: &str = "GRASP_TRACE_CODEC";
-
-/// Resolves the publication codec from [`CODEC_ENV_VAR`]: unset or empty
-/// means the default ([`Codec::DeltaVarint`]); an unparsable value is
-/// reported and treated as unset (a typo must never break a campaign).
-pub fn codec_from_env() -> Codec {
-    match std::env::var(CODEC_ENV_VAR) {
-        Ok(raw) if !raw.is_empty() => Codec::from_label(&raw).unwrap_or_else(|| {
-            eprintln!(
-                "{CODEC_ENV_VAR}={raw}: unknown codec (expected one of: raw, delta-varint); \
-                 using {}",
-                Codec::default()
-            );
-            Codec::default()
-        }),
-        _ => Codec::default(),
-    }
-}
 
 /// Why a store entry could not be read or written.
 #[derive(Debug)]
@@ -464,23 +437,6 @@ impl TraceStore {
             counters: Counters::default(),
             index_lock: Mutex::new(()),
         })
-    }
-
-    /// Opens the store named by the `GRASP_TRACE_STORE` environment variable,
-    /// or `None` when the variable is unset/empty. Creation failures are
-    /// reported and treated as unset (a missing store must never break a
-    /// campaign).
-    pub fn from_env() -> Option<Self> {
-        let dir = std::env::var(STORE_ENV_VAR)
-            .ok()
-            .filter(|s| !s.is_empty())?;
-        match Self::open(&dir) {
-            Ok(store) => Some(store),
-            Err(err) => {
-                eprintln!("{STORE_ENV_VAR}={dir}: cannot open trace store: {err}");
-                None
-            }
-        }
     }
 
     /// The store's root directory.

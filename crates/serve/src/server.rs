@@ -106,13 +106,18 @@ impl Server {
     /// Serves connections until a `shutdown` request arrives, then drains
     /// in-flight connections, removes the socket file and returns.
     pub fn run(self) -> std::io::Result<()> {
-        let mut workers = Vec::new();
+        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if !self.daemon.running.load(Ordering::SeqCst) {
                 break;
             }
             let stream = stream?;
             let daemon = Arc::clone(&self.daemon);
+            // Drop the handles of connections that already ended, so a
+            // long-lived daemon holds one handle per live connection, not
+            // one per connection ever accepted. Their results are ignored,
+            // as at shutdown below.
+            workers.retain(|worker| !worker.is_finished());
             workers.push(std::thread::spawn(move || {
                 handle_connection(&daemon, stream)
             }));

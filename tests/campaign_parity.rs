@@ -80,33 +80,3 @@ fn campaign_cells_enumerate_the_grid_in_order() {
         assert_eq!(cell.technique, TechniqueKind::Dbg);
     }
 }
-
-#[test]
-fn recorded_traces_match_between_parallel_and_serial_runs() {
-    let results = Campaign::new(SCALE)
-        .datasets(&[DatasetKind::Twitter])
-        .apps(&[AppKind::PageRank])
-        .policies(&[PolicyKind::Rrip])
-        .recording_llc_trace()
-        .threads(4)
-        .run();
-    let parallel = results
-        .get(
-            DatasetKind::Twitter,
-            TechniqueKind::Dbg,
-            AppKind::PageRank,
-            PolicyKind::Rrip,
-        )
-        .expect("cell exists");
-    let dataset = DatasetKind::Twitter.build(SCALE);
-    let serial = Experiment::new(dataset.graph, AppKind::PageRank)
-        .with_hierarchy(SCALE.hierarchy())
-        .with_reordering(TechniqueKind::Dbg)
-        .recording_llc_trace()
-        .run(PolicyKind::Rrip);
-    assert_eq!(
-        serial.llc_trace.as_ref().expect("serial trace"),
-        parallel.llc_trace.as_ref().expect("parallel trace"),
-        "recorded LLC traces must be identical"
-    );
-}
